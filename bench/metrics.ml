@@ -16,6 +16,27 @@ let out_path id =
   in
   Filename.concat dir ("BENCH_" ^ id ^ ".json")
 
+(* The host block a sidecar records: CPU count, compiler version, whether
+   flambda is on, and the git commit of the tree that was built (a
+   "-dirty" suffix marks uncommitted changes). *)
+let host () =
+  let git =
+    match
+      Unix.open_process_args_in "git"
+        [| "git"; "describe"; "--always"; "--dirty"; "--abbrev=40" |]
+    with
+    | ic ->
+        let line = In_channel.input_line ic in
+        ignore (Unix.close_process_in ic);
+        Option.value line ~default:"unknown"
+    | exception Unix.Unix_error _ -> "unknown"
+  in
+  Json.obj
+    [ ("cpus", Json.int (Domain.recommended_domain_count ()));
+      ("ocaml", Json.str Sys.ocaml_version);
+      ("flambda", Json.bool Build_info.flambda);
+      ("git_commit", Json.str git) ]
+
 let write ~id json =
   let path = out_path id in
   let oc = open_out path in

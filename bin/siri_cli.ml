@@ -1178,23 +1178,35 @@ let compact_cmd =
                 Pack.close p;
                 2
             | None ->
-                (* Reachability closure through the pack's child lists. *)
+                (* Reachability closure through the pack's child lists;
+                   forcing a list verifies its record's frame, so a
+                   damaged list refuses the compaction instead of
+                   dropping the subtree it no longer names. *)
                 let live = ref Hash.Set.empty in
                 let rec walk h =
                   if (not (Hash.Set.mem h !live)) && Pack.mem p h then begin
                     live := Hash.Set.add h !live;
                     match Pack.get p h with
-                    | Some (_, children) -> List.iter walk children
+                    | Some (_, children) -> List.iter walk (Lazy.force children)
                     | None -> ()
                   end
                 in
-                List.iter walk roots;
-                let dropped = Pack.compact p ~live:!live in
-                Printf.printf "dropped  : %d record%s\n" (List.length dropped)
-                  (if List.length dropped = 1 then "" else "s");
-                pack_summary p;
-                Pack.close p;
-                0))
+                match
+                  List.iter walk roots;
+                  Pack.compact p ~live:!live
+                with
+                | exception Store.Tampered h ->
+                    Printf.eprintf "compact: corrupt record %s; nothing dropped\n"
+                      (Hash.to_hex h);
+                    Pack.close p;
+                    2
+                | dropped ->
+                    Printf.printf "dropped  : %d record%s\n"
+                      (List.length dropped)
+                      (if List.length dropped = 1 then "" else "s");
+                    pack_summary p;
+                    Pack.close p;
+                    0))
   in
   Cmd.v
     (Cmd.info "compact"

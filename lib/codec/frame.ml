@@ -21,18 +21,19 @@ type step =
   | Torn of int
   | Corrupt
 
+let declared_len blob ~pos =
+  (Char.code blob.[pos] lsl 24)
+  lor (Char.code blob.[pos + 1] lsl 16)
+  lor (Char.code blob.[pos + 2] lsl 8)
+  lor Char.code blob.[pos + 3]
+
 let step blob ~pos =
   let total = String.length blob in
   let remaining = total - pos in
   if remaining = 0 then End
   else if remaining < header_len then Torn remaining
   else begin
-    let len =
-      (Char.code blob.[pos] lsl 24)
-      lor (Char.code blob.[pos + 1] lsl 16)
-      lor (Char.code blob.[pos + 2] lsl 8)
-      lor Char.code blob.[pos + 3]
-    in
+    let len = declared_len blob ~pos in
     if remaining - header_len < len then
       (* Torn mid-payload — or a length flip on the final frame, which is
          indistinguishable from a torn write and clamped the same way. *)

@@ -16,6 +16,10 @@ val header_len : int
 val encode : string -> string
 (** Wrap a payload into a frame. *)
 
+val declared_len : string -> pos:int -> int
+(** The payload length a frame header at [pos] declares, {e unverified}
+    — the digest is not checked.  Requires 4 readable bytes at [pos]. *)
+
 type step =
   | Frame of { payload_off : int; payload_len : int; next : int }
       (** A verified frame starts at the queried offset; its payload is the

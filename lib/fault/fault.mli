@@ -135,9 +135,10 @@ val flip_blob : seed:int -> rate:float -> string -> string * int list
     rather than store nodes: [transient] raises {!Store.Transient} (to be
     absorbed by {!with_retry}), [bit_flip] flips one seeded-random bit in
     the returned bytes, [truncate] halves them.  The gate sits {e between}
-    the [pread] and the checksum verification, so injected damage must be
-    caught by the frame digest and surface as [`Tampered] — never as a
-    wrong read. *)
+    the [pread] and the verification, so injected damage must be caught —
+    by the content check on a point read, or by the frame digest once the
+    children are used — and surface as [`Tampered], never as a wrong
+    read. *)
 
 type io_gate
 

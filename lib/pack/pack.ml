@@ -158,44 +158,72 @@ let flush_buffered t =
     t.os_dirty <- true
   end
 
-(* Decode and verify one indexed record: the frame digest authenticates
-   the bytes on disk, and re-hashing the payload re-checks content
-   addressing end to end.  Every failure mode — short read, flipped bit,
+(* One indexed record is read once, then checked in up to two ways:
+
+   - [check_content] authenticates the node bytes by their address: the
+     frame's declared length must match the indexed length, the record
+     must name [h], and the bytes must hash to [h].  It neither hashes
+     the frame nor decodes the children — a point read needs neither.
+   - [check_frame] verifies the frame digest over the whole record and
+     decodes the children list, the part [check_content] leaves
+     unauthenticated.
+
+   Point reads ({!get}) run the content check and defer the frame check
+   to whoever forces the children; sweeps ({!iter}, {!scrub}) and
+   compaction run both.  Every failure mode — short read, flipped bit,
    truncated frame — lands in [Store.Tampered], never a wrong read. *)
-let read_entry t ?(use_gate = true) h (e : Pack_index.entry) =
+let read_frame t ?(use_gate = true) h (e : Pack_index.entry) =
   if e.seg = t.active then flush_buffered t;
   let blob = pread t e.seg ~off:e.off ~len:e.len in
-  let blob =
-    match t.gate with
-    | Some g when use_gate -> Fault.gate_read g h blob
-    | _ -> blob
-  in
+  match t.gate with
+  | Some g when use_gate -> Fault.gate_read g h blob
+  | _ -> blob
+
+let check_content h blob =
+  let payload_len = String.length blob - Frame.header_len in
+  if payload_len < 0 || Frame.declared_len blob ~pos:0 <> payload_len then
+    raise (Store.Tampered h);
+  match Segment.decode_head blob ~off:Frame.header_len ~len:payload_len with
+  | h', bytes when Hash.equal h' h && Hash.equal (Hash.of_string bytes) h ->
+      bytes
+  | _ | (exception Wire.Reader.Truncated) -> raise (Store.Tampered h)
+
+let check_frame h blob =
   match Frame.step blob ~pos:0 with
   | Frame.Frame { payload_off; payload_len; next }
     when next = String.length blob -> (
       match Segment.decode_record blob ~off:payload_off ~len:payload_len with
-      | h', bytes, children
-        when Hash.equal h' h && Hash.equal (Hash.of_string bytes) h ->
-          (bytes, children)
-      | _ -> raise (Store.Tampered h)
+      | _, _, children -> children
       | exception Wire.Reader.Truncated -> raise (Store.Tampered h))
   | _ -> raise (Store.Tampered h)
+
+let check_full h blob =
+  let bytes = check_content h blob in
+  (bytes, check_frame h blob)
+
+(* Read under the retry budget; injected transients that outlast it
+   surface as [Store.Transient], everything else as [Store.Tampered]. *)
+let retrying t h f =
+  match
+    Fault.with_retry ~attempts:t.retry_attempts ~backoff_s:t.retry_backoff_s
+      ~sink:t.sink f
+  with
+  | Ok v -> v
+  | Error (`Transient _) -> raise (Store.Transient h)
+  | Error (`Missing _) -> raise (Store.Missing h)
+  | Error (`Tampered _ | `Malformed _) -> raise (Store.Tampered h)
 
 let get t h =
   match Hash.Table.find_opt t.index h with
   | None -> None
-  | Some e -> (
-      match
-        Fault.with_retry ~attempts:t.retry_attempts
-          ~backoff_s:t.retry_backoff_s ~sink:t.sink (fun () ->
-            read_entry t h e)
-      with
-      | Ok v ->
-          Telemetry.incr t.sink "pack.read";
-          Some v
-      | Error (`Transient _) -> raise (Store.Transient h)
-      | Error (`Missing _) -> raise (Store.Missing h)
-      | Error (`Tampered _ | `Malformed _) -> raise (Store.Tampered h))
+  | Some e ->
+      let blob, bytes =
+        retrying t h (fun () ->
+            let blob = read_frame t h e in
+            (blob, check_content h blob))
+      in
+      Telemetry.incr t.sink "pack.read";
+      Some (bytes, lazy (check_frame h blob))
 
 let mem t h = Hash.Table.mem t.index h
 
@@ -208,14 +236,7 @@ let iter t f =
   List.iter
     (fun (h, e) ->
       let bytes, children =
-        match
-          Fault.with_retry ~attempts:t.retry_attempts
-            ~backoff_s:t.retry_backoff_s ~sink:t.sink (fun () ->
-              read_entry t h e)
-        with
-        | Ok v -> v
-        | Error (`Transient _) -> raise (Store.Transient h)
-        | Error _ -> raise (Store.Tampered h)
+        retrying t h (fun () -> check_full h (read_frame t h e))
       in
       f h bytes children)
     (sorted_entries t)
@@ -223,9 +244,8 @@ let iter t f =
 let scrub t =
   List.filter_map
     (fun (h, e) ->
-      match read_entry t ~use_gate:false h e with
+      match check_full h (read_frame t ~use_gate:false h e) with
       | _ -> None
-      | exception Store.Tampered _ -> Some h
       | exception _ -> Some h)
     (sorted_entries t)
 
@@ -601,11 +621,11 @@ let compact ?(on_step = ignore) t ~live =
     in
     List.iter
       (fun (h, (e : Pack_index.entry)) ->
-        (* Re-verify before carrying: compaction must not launder a
-           corrupt record into a fresh segment.  The frame bytes are
-           content-stable, so the verified slice is reused verbatim. *)
-        ignore (read_entry t ~use_gate:false h e : string * Hash.t list);
-        let frame = pread t e.seg ~off:e.off ~len:e.len in
+        (* Fully verify before carrying: compaction must not launder a
+           corrupt record into a fresh segment.  The verified frame is
+           copied verbatim — each live record is read once. *)
+        let frame = read_frame t ~use_gate:false h e in
+        ignore (check_full h frame : string * Hash.t list);
         if Buffer.length cur + e.len > t.segment_target
            && Buffer.length cur > magic_len
         then write_segment ();

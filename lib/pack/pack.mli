@@ -77,26 +77,38 @@ val flush : ?sync:bool -> t -> unit
 val sync_index : t -> unit
 (** Persist the offset index (atomic, fsynced) if it changed. *)
 
-val get : t -> Hash.t -> (string * Hash.t list) option
-(** Verified positional read.  [None] when absent.  Raises
-    {!Store.Tampered} when the frame or node digest fails — injected
-    damage can never surface as a wrong read — and {!Store.Transient}
-    when injected transients outlast the retry budget. *)
+val get : t -> Hash.t -> (string * Hash.t list Lazy.t) option
+(** Point read, authenticated by content address.  [None] when absent.
+    The node bytes are returned only if the record's declared length
+    matches the index, its hash field names the requested hash, and the
+    bytes hash to it; the frame digest is not computed.  Forcing the
+    children runs the full frame check over the same bytes and decodes
+    the list, raising {!Store.Tampered} if it fails — so damage can
+    surface as [Tampered], never as wrong bytes or a wrong child list.
+    Raises {!Store.Tampered} on a failed content check and
+    {!Store.Transient} when injected transients outlast the retry
+    budget.  The lazy value belongs to the caller: force it from one
+    domain only. *)
 
 val mem : t -> Hash.t -> bool
 
 val iter : t -> (Hash.t -> string -> Hash.t list -> unit) -> unit
-(** Verified sweep over every indexed record; raises like {!get}. *)
+(** Sweep over every indexed record with full verification — content
+    address and frame digest; raises like {!get}. *)
 
 val scrub : t -> Hash.t list
-(** Re-read and verify every indexed record (gate bypassed), returning
-    the hashes whose stored bytes fail verification, sorted. *)
+(** Re-read and fully verify every indexed record (content address and
+    frame digest, gate bypassed), returning the hashes whose stored bytes
+    fail verification, sorted. *)
 
 val compact :
   ?on_step:(string -> unit) -> t -> live:Hash.Set.t -> Hash.t list
 (** Rewrite the records of [live] nodes into fresh segments (ids above
     every existing one), write the new index, atomically flip the
     manifest, then delete the old segments; returns the dropped hashes.
+    Each carried record is read once and fully verified before its frame
+    is copied — a corrupt record raises {!Store.Tampered} and the old
+    segment set stays in place.
     [on_step] is called at the kill-points ["begin"],
     ["segments-written"], ["index-written"], ["manifest"], ["cleanup"] —
     crash tests raise from it; a crash strictly before ["manifest"]

@@ -26,10 +26,16 @@ let encode_record h bytes children =
   List.iter (Wire.Writer.hash w) children;
   Frame.encode (Wire.Writer.contents w)
 
-let decode_record blob ~off ~len =
-  let r = Wire.Reader.of_substring blob ~off ~len in
+let read_head r =
   let h = Wire.Reader.hash r in
   let bytes = Wire.Reader.str r in
+  (h, bytes)
+
+let decode_head blob ~off ~len = read_head (Wire.Reader.of_substring blob ~off ~len)
+
+let decode_record blob ~off ~len =
+  let r = Wire.Reader.of_substring blob ~off ~len in
+  let h, bytes = read_head r in
   let n = Wire.Reader.varint r in
   let children = List.init n (fun _ -> Wire.Reader.hash r) in
   (h, bytes, children)

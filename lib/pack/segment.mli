@@ -5,9 +5,11 @@
 
     {v hash(32) | varint |bytes| | bytes | varint n | child-hash(32) * n v}
 
-    The frame digest covers the whole record, so a mid-file bit flip is
-    detected before any field is trusted; the node hash inside the record
-    lets readers re-verify content addressing end to end.  Like the WAL
+    The frame digest covers the whole record, so scans detect a mid-file
+    bit flip before any field is trusted.  Point reads instead
+    authenticate the node bytes by their content address — the record's
+    hash field names the node and the bytes must hash to it — and check
+    the frame digest only when the child list is used.  Like the WAL
     journal, a segment has prefix semantics: a crashed append leaves a
     torn tail that scanners clamp, while a checksum mismatch {e before}
     the tail is refused as tampering — a wrong read is impossible. *)
@@ -30,6 +32,12 @@ val decode_record : string -> off:int -> len:int -> Hash.t * string * Hash.t lis
 (** Decode the {e payload} slice of a verified frame (not including the
     frame header).  Raises [Siri_codec.Wire.Reader.Truncated] on
     malformed bytes — unreachable for a frame whose digest verified. *)
+
+val decode_head : string -> off:int -> len:int -> Hash.t * string
+(** The record's hash field and node bytes, leaving the children list
+    unread.  Unlike {!decode_record} it may run on an {e unverified}
+    payload: it raises only [Siri_codec.Wire.Reader.Truncated], and the
+    caller authenticates the bytes by re-hashing them. *)
 
 type scanned = {
   records : (Hash.t * int * int) list;

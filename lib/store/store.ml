@@ -16,8 +16,9 @@ type node = { mutable bytes : string; children : Hash.t list }
    dependency graph acyclic: pack depends on store, not the reverse. *)
 type backend = {
   backend_name : string;
-  backend_read : Hash.t -> (string * Hash.t list) option;
-      (** Cold read; may raise {!Transient} or {!Tampered}. *)
+  backend_read : Hash.t -> (string * Hash.t list Lazy.t) option;
+      (** Cold point read; may raise {!Transient} or {!Tampered}.  The
+          children are verified only when forced. *)
   backend_mem : Hash.t -> bool;
   backend_write : (Hash.t * string * Hash.t list) list -> unit;
       (** Buffered append of freshly stored nodes (write-through). *)
@@ -255,7 +256,7 @@ let mem t h =
 let children t h =
   match Hash.Table.find_opt t.tbl h with
   | Some node -> node.children
-  | None -> snd (cold_read t h)
+  | None -> Lazy.force (snd (cold_read t h))
 
 let size_of t h =
   match Hash.Table.find_opt t.tbl h with
@@ -285,7 +286,7 @@ let reachable_many t roots =
     | None -> (
         match t.backend with
         | None -> None
-        | Some b -> Option.map snd (b.backend_read h))
+        | Some b -> Option.map (fun (_, c) -> Lazy.force c) (b.backend_read h))
   in
   let rec walk h =
     if (not (Hash.is_null h)) && not (Hash.Set.mem h !visited) then

@@ -204,9 +204,16 @@ val set_read_gate : t -> (Hash.t -> string -> unit) option -> unit
 
 type backend = {
   backend_name : string;
-  backend_read : Hash.t -> (string * Hash.t list) option;
-      (** Cold read of payload and children; may raise {!Transient} (the
-          retryable read fault) or {!Tampered} (checksum mismatch). *)
+  backend_read : Hash.t -> (string * Hash.t list Lazy.t) option;
+      (** Cold point read: the payload, authenticated by its content
+          address, and its children, verified only when forced.  May
+          raise {!Transient} (the retryable read fault) or {!Tampered}
+          (the payload does not hash to the key); forcing the children
+          may raise {!Tampered} (the stored record fails its full
+          check).  {!get}, {!size_of} and {!bytes_of_set} never force
+          the children; {!children}, {!reachable_many} and {!gc} do.
+          Each read returns a fresh lazy value, forced by its caller
+          only. *)
   backend_mem : Hash.t -> bool;
   backend_write : (Hash.t * string * Hash.t list) list -> unit;
       (** Append freshly stored nodes (buffered until [backend_flush]). *)

@@ -13,6 +13,7 @@ module Hash = Siri_crypto.Hash
 module Pack = Siri_pack.Pack
 module Segment = Siri_pack.Segment
 module Pack_index = Siri_pack.Pack_index
+module Frame = Siri_codec.Frame
 module Fault = Siri_fault.Fault
 module Engine = Siri_forkbase.Engine
 module Wal = Siri_wal.Wal
@@ -53,40 +54,55 @@ let open_exn ?segment_target ?retry_attempts ?sink dir =
   | Ok tr -> tr
   | Error (`Tampered msg) -> Alcotest.failf "Pack.open_: %s" msg
 
-(* Distinct nodes with a deterministic payload per index. *)
+(* Distinct nodes with a deterministic payload per index; node [i]
+   names [i mod 3] children, so records carry child lists of length 0-2. *)
+let payload i =
+  Printf.sprintf "pack-node-%04d:%s" i (String.make (16 + (i mod 23)) (Char.chr (65 + (i mod 26))))
+
 let node i =
-  let bytes = Printf.sprintf "pack-node-%04d:%s" i (String.make (16 + (i mod 23)) (Char.chr (65 + (i mod 26)))) in
-  (Hash.of_string bytes, bytes, [])
+  let bytes = payload i in
+  (Hash.of_string bytes, bytes, List.init (i mod 3) (fun k -> Hash.of_string (payload (i + k + 1))))
 
 let nodes n = List.init n node
 
 let seg_path dir id = Filename.concat dir (Segment.filename id)
 let index_path dir = Filename.concat dir "index"
 
-(* Assert the zero-wrong-reads contract: every hash in [written] either
-   reads back byte-identical, is absent, or raises [`Tampered]; the set
-   that reads back must equal [expected] when given. *)
+let hexes = List.map Hash.to_hex
+
+(* One read under the zero-wrong-reads contract: the payload comes back
+   byte-identical and the forced child list exactly as written, or the
+   point read ([`Tampered]) or the forced children ([`Tampered_children])
+   refuse. *)
+let read_outcome p (h, bytes, children) =
+  match Pack.get p h with
+  | None -> `Absent
+  | exception Store.Tampered _ -> `Tampered
+  | Some (b, c) -> (
+      Alcotest.(check string) "payload survives verbatim" bytes b;
+      match Lazy.force c with
+      | c ->
+          Alcotest.(check (list string)) "children survive verbatim"
+            (hexes children) (hexes c);
+          `Read
+      | exception Store.Tampered _ -> `Tampered_children)
+
+(* Every hash in [written] reads back in full, is absent, or is refused;
+   the set that reads back in full must equal [expected] when given. *)
 let check_reads ?expected p written =
-  let readable = ref [] in
-  List.iter
-    (fun (h, bytes, children) ->
-      match Pack.get p h with
-      | Some (b, c) ->
-          Alcotest.(check string) "payload survives verbatim" bytes b;
-          Alcotest.(check int) "children survive" (List.length children)
-            (List.length c);
-          readable := h :: !readable
-      | None -> ()
-      | exception Store.Tampered _ -> ())
-    written;
+  let readable =
+    List.filter_map
+      (fun ((h, _, _) as n) ->
+        match read_outcome p n with `Read -> Some h | _ -> None)
+      written
+  in
   match expected with
   | None -> ()
   | Some exp ->
-      let got = List.sort Hash.compare !readable in
+      let got = List.sort Hash.compare readable in
       let exp = List.sort Hash.compare exp in
       Alcotest.(check (list string))
-        "readable set is the exact expected prefix"
-        (List.map Hash.to_hex exp) (List.map Hash.to_hex got)
+        "readable set is the exact expected prefix" (hexes exp) (hexes got)
 
 (* --- roundtrip -------------------------------------------------------------- *)
 
@@ -297,6 +313,162 @@ let test_flip_storms () =
     Pack.close p
   done
 
+(* --- point reads: content address now, frame digest when children are used --- *)
+
+let flip_bit blob pos bit =
+  let b = Bytes.of_string blob in
+  Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
+  Bytes.to_string b
+
+(* The frame offset and length of [h]'s record in a segment blob. *)
+let record_span blob h =
+  match Segment.scan blob with
+  | Ok s -> (
+      match List.find_opt (fun (h', _, _) -> Hash.equal h h') s.Segment.records with
+      | Some (_, off, len) -> (off, len)
+      | None -> Alcotest.fail "record not in segment")
+  | Error _ -> Alcotest.fail "pristine segment must scan"
+
+(* Flip every bit of one record, one at a time.  The point read must
+   return the original bytes or refuse; forcing the children must return
+   the original list or refuse.  Which check refuses is pinned: the
+   content check owns the length field, hash field and node bytes, the
+   frame check owns the frame digest and the child list — so no bit of a
+   record is left unauthenticated, and the point read really skips the
+   frame. *)
+let test_point_read_flip_every_bit () =
+  with_dir "flip-every-bit" @@ fun dir ->
+  let written = nodes 6 in
+  let p, _ = open_exn dir in
+  Pack.append p written;
+  Pack.close p;
+  let pristine = read_file (seg_path dir 0) in
+  let ((victim_h, _, children) as victim) = List.nth written 5 in
+  Alcotest.(check int) "victim has a child list" 2 (List.length children);
+  let off, len = record_span pristine victim_h in
+  let others = List.filter (fun (h, _, _) -> not (Hash.equal h victim_h)) written in
+  let children_from = off + len - (1 + (Hash.size * List.length children)) in
+  for pos = off to off + len - 1 do
+    for bit = 0 to 7 do
+      write_file (seg_path dir 0) (flip_bit pristine pos bit);
+      let p, r = open_exn dir in
+      Alcotest.(check bool) "open stays O(index)" false r.Pack.index_rebuilt;
+      let frame_owned =
+        (pos >= off + 4 && pos < off + Frame.header_len) || pos >= children_from
+      in
+      (match read_outcome p victim with
+      | `Tampered when not frame_owned -> ()
+      | `Tampered_children when frame_owned -> ()
+      | `Read -> Alcotest.failf "flip at +%d bit %d went unnoticed" (pos - off) bit
+      | _ ->
+          Alcotest.failf "flip at +%d bit %d refused by the wrong check"
+            (pos - off) bit);
+      check_reads p others ~expected:(List.map (fun (h, _, _) -> h) others);
+      Alcotest.(check (list string)) "scrub names the victim" [ Hash.to_hex victim_h ]
+        (hexes (Pack.scrub p));
+      Pack.close p
+    done
+  done
+
+let bin_dir () =
+  match Sys.getenv_opt "SIRI_BIN_DIR" with
+  | Some d -> d
+  | None ->
+      if Sys.file_exists "../bin/siri_cli.exe" then "../bin"
+      else "_build/default/bin"
+
+let run_cli args =
+  let exe = Filename.concat (bin_dir ()) "siri_cli.exe" in
+  let null = Unix.openfile "/dev/null" [ Unix.O_WRONLY ] 0 in
+  let pid = Unix.create_process exe (Array.of_list (exe :: args)) Unix.stdin null null in
+  Unix.close null;
+  match Unix.waitpid [] pid with
+  | _, Unix.WEXITED code -> code
+  | _, (Unix.WSIGNALED n | Unix.WSTOPPED n) ->
+      Alcotest.failf "siri_cli killed by signal %d" n
+
+(* A record whose child list is flipped still serves its bytes, but
+   every consumer of the list refuses: [Store.children], [Store.gc] and
+   [siri-cli compact] — none of them drops the subtree the list no
+   longer names. *)
+let test_flipped_child_list_refused () =
+  with_dir "flip-children" @@ fun dir ->
+  let p, _ = open_exn dir in
+  let store = Store.create () in
+  Pack.attach p store;
+  let leaves = List.init 8 (fun i -> Store.put store (Printf.sprintf "leaf-%d" i)) in
+  let root = Store.put store ~children:leaves "root" in
+  let garbage = Store.put store "garbage" in
+  Pack.close p;
+  let blob = read_file (seg_path dir 0) in
+  let off, len = record_span blob root in
+  write_file (seg_path dir 0) (flip_bit blob (off + len - 1) 0);
+  let all = root :: garbage :: leaves in
+  let p, _ = open_exn dir in
+  let store = Store.create () in
+  Pack.attach p store;
+  Alcotest.(check string) "point read serves the bytes" "root" (Store.get store root);
+  (match Store.children store root with
+  | exception Store.Tampered h ->
+      Alcotest.(check string) "names the record" (Hash.to_hex root) (Hash.to_hex h)
+  | _ -> Alcotest.fail "served a flipped child list");
+  (match Store.gc store ~roots:[ root ] with
+  | exception Store.Tampered _ -> ()
+  | _ -> Alcotest.fail "gc ran over a flipped child list");
+  List.iter
+    (fun h -> Alcotest.(check bool) "gc dropped nothing" true (Pack.mem p h))
+    all;
+  Pack.close p;
+  Alcotest.(check int) "siri-cli compact refuses" 2
+    (run_cli [ "compact"; "--root"; Hash.to_hex root; dir ]);
+  let p, _ = open_exn dir in
+  Alcotest.(check int) "compact dropped nothing" (List.length all) (Pack.count p);
+  Alcotest.(check (list string)) "scrub names the record" [ Hash.to_hex root ]
+    (hexes (Pack.scrub p));
+  Pack.close p
+
+(* The same contract under seeded segment-read fault plans, over a pack
+   that also holds one record damaged on disk inside its child list:
+   every read is exact or refused, the damaged list is never served, and
+   scrub — which bypasses the gate — still names exactly that record. *)
+let test_point_read_gate_plans () =
+  with_dir "flip-gate" @@ fun dir ->
+  let written = nodes 30 in
+  let p, _ = open_exn dir in
+  Pack.append p written;
+  Pack.close p;
+  let ((victim_h, _, _) as victim) = List.nth written 8 in
+  let blob = read_file (seg_path dir 0) in
+  let off, len = record_span blob victim_h in
+  write_file (seg_path dir 0) (flip_bit blob (off + len - 1) 3);
+  let p, _ = open_exn dir in
+  List.iter
+    (fun (name, plan) ->
+      let gate = Fault.io_gate plan in
+      Pack.set_read_gate p (Some gate);
+      for _ = 1 to 10 do
+        List.iter
+          (fun ((h, _, _) as n) ->
+            match read_outcome p n with
+            | `Absent -> Alcotest.failf "%s: indexed node vanished" name
+            | `Read when Hash.equal h victim_h ->
+                Alcotest.failf "%s: served the damaged child list" name
+            | _ | (exception Store.Transient _) -> ())
+          written
+      done;
+      Alcotest.(check bool) (name ^ ": damage was injected") true
+        (Fault.io_flips gate + Fault.io_truncations gate > 0);
+      Alcotest.(check (list string)) (name ^ ": scrub names the victim")
+        [ Hash.to_hex victim_h ] (hexes (Pack.scrub p));
+      Pack.set_read_gate p None)
+    [ ("flip", Fault.plan ~bit_flip:0.5 ~seed:5 ());
+      ("truncate", Fault.plan ~truncate:0.5 ~seed:6 ());
+      ("flip+truncate+transient",
+        Fault.plan ~bit_flip:0.3 ~truncate:0.3 ~transient:0.1 ~seed:7 ()) ];
+  Alcotest.(check bool) "ungated victim still refused" true
+    (read_outcome p victim = `Tampered_children);
+  Pack.close p
+
 (* --- rebuilt index is byte-identical (qcheck) -------------------------------- *)
 
 let qcheck_rebuild_identity =
@@ -506,16 +678,15 @@ let test_io_gate_transients () =
   | _ -> Alcotest.fail "dead disk must surface `Transient");
   Alcotest.(check bool) "give_up recorded" true
     (Telemetry.counter sink "retry.give_up" > 0);
-  (* flips and truncations injected by the gate are caught by the frame
-     digest: `Tampered, never a wrong read *)
+  (* flips and truncations injected by the gate are caught by the
+     content check, or by the frame check when the children are forced:
+     `Tampered, never a wrong read *)
   let lossy = Fault.io_gate (Fault.plan ~bit_flip:0.5 ~truncate:0.5 ~seed:3 ()) in
   Pack.set_read_gate p (Some lossy);
   List.iter
-    (fun (h, bytes, _) ->
-      match Pack.get p h with
-      | Some (b, _) -> Alcotest.(check string) "verified read" bytes b
-      | None -> Alcotest.fail "indexed node cannot vanish"
-      | exception Store.Tampered _ -> ())
+    (fun n ->
+      if read_outcome p n = `Absent then
+        Alcotest.fail "indexed node cannot vanish")
     written;
   Alcotest.(check bool) "damage was injected" true
     (Fault.io_flips lossy + Fault.io_truncations lossy > 0);
@@ -706,6 +877,13 @@ let () =
             test_midsegment_flip_tampered;
           Alcotest.test_case "seeded flip storms: zero wrong reads" `Quick
             test_flip_storms ] );
+      ( "point reads",
+        [ Alcotest.test_case "every bit of a record: exact or refused" `Quick
+            test_point_read_flip_every_bit;
+          Alcotest.test_case "flipped child list: children/gc/compact refuse"
+            `Quick test_flipped_child_list_refused;
+          Alcotest.test_case "io gate plans: exact or refused, scrub names"
+            `Quick test_point_read_gate_plans ] );
       ("index properties", [ qcheck qcheck_rebuild_identity ]);
       ( "compaction",
         [ Alcotest.test_case "drop + rewrite + swap" `Quick

@@ -454,12 +454,33 @@ let storm_template ~backend dir =
        (List.map (fun (k, v) -> Kv.Put (k, v)) byte_entries));
   Sharded.close t
 
-(* The child flips the layout 4 ↔ 8 forever with fsync on, durably
-   acking each completed generation; the parent SIGKILLs at a seeded
-   instant.  Recovery must open cleanly (the composite re-check would
-   refuse a mixed layout), land on a generation covering every ack, on
-   a width matching that generation's parity, with the seed entries
-   intact under the new routing. *)
+(* The killed process: flip the layout 4 ↔ 8 forever with fsync on,
+   durably acking each completed generation. *)
+let reshard_forever ~backend ~dir ~acked_path =
+  let fd =
+    Unix.openfile acked_path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
+  in
+  let t = open_exn ~sync:true ~backend ~dir () in
+  Kill_child.ready ();
+  let rec loop t g =
+    let m = if (Sharded.spec t).Partition.shards = 4 then 8 else 4 in
+    match Sharded.reshard t ~shards:m with
+    | Ok t ->
+        let line = Printf.sprintf "%d\n" (g + 1) in
+        ignore (Unix.write_substring fd line 0 (String.length line));
+        Unix.fsync fd;
+        loop t (g + 1)
+    | Error _ -> exit 1
+  in
+  loop t 0
+
+let backend_arg = function `Pack -> "pack" | `Snapshot -> "snapshot"
+
+(* The parent SIGKILLs the child at a seeded instant.  Recovery must open
+   cleanly (the composite re-check would refuse a mixed layout), land on
+   a generation covering every ack, on a width matching that
+   generation's parity, with the seed entries intact under the new
+   routing. *)
 let test_reshard_sigkill ~backend () =
   let rounds = crash_rounds () in
   let rng = Rng.create 20260806 in
@@ -469,53 +490,32 @@ let test_reshard_sigkill ~backend () =
     let acked_path =
       Filename.concat (Filename.dirname dir) (Filename.basename dir ^ ".acked")
     in
-    (match Unix.fork () with
-    | 0 ->
-        let fd =
-          Unix.openfile acked_path
-            [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ]
-            0o644
-        in
-        let t = open_exn ~sync:true ~backend ~dir () in
-        let rec loop t g =
-          let m = if (Sharded.spec t).Partition.shards = 4 then 8 else 4 in
-          match Sharded.reshard t ~shards:m with
-          | Ok t ->
-              let line = Printf.sprintf "%d\n" (g + 1) in
-              ignore (Unix.write_substring fd line 0 (String.length line));
-              Unix.fsync fd;
-              loop t (g + 1)
-          | Error _ -> Unix._exit 1
-        in
-        (try loop t 0 with _ -> ());
-        Unix._exit 0
-    | pid ->
-        Unix.sleepf (0.05 +. (Rng.float rng *. 0.4));
-        (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-        ignore (Unix.waitpid [] pid);
-        let acked =
-          if Sys.file_exists acked_path then
-            read_file acked_path |> String.split_on_char '\n'
-            |> List.filter_map int_of_string_opt
-            |> List.fold_left max 0
-          else 0
-        in
-        if Sys.file_exists acked_path then Sys.remove acked_path;
-        let t = open_exn ~backend ~dir () in
-        let g = Sharded.generation t in
-        if g < acked then
-          Alcotest.failf "round %d: ACKED RESHARD LOST (acked %d, recovered %d)"
-            round acked g;
-        let width = (Sharded.spec t).Partition.shards in
-        Alcotest.(check int)
-          (Printf.sprintf "round %d: width matches generation parity" round)
-          (if g mod 2 = 0 then 4 else 8)
-          width;
-        Alcotest.check entries_t
-          (Printf.sprintf "round %d: entries intact at generation %d" round g)
-          byte_sorted
-          (List.of_seq (Sharded.scan t ~branch:"master"));
-        Sharded.close t)
+    let pid = Kill_child.spawn [ "reshard"; backend_arg backend; dir; acked_path ] in
+    Unix.sleepf (0.05 +. (Rng.float rng *. 0.4));
+    Kill_child.kill pid;
+    let acked =
+      if Sys.file_exists acked_path then
+        read_file acked_path |> String.split_on_char '\n'
+        |> List.filter_map int_of_string_opt
+        |> List.fold_left max 0
+      else 0
+    in
+    if Sys.file_exists acked_path then Sys.remove acked_path;
+    let t = open_exn ~backend ~dir () in
+    let g = Sharded.generation t in
+    if g < acked then
+      Alcotest.failf "round %d: ACKED RESHARD LOST (acked %d, recovered %d)"
+        round acked g;
+    let width = (Sharded.spec t).Partition.shards in
+    Alcotest.(check int)
+      (Printf.sprintf "round %d: width matches generation parity" round)
+      (if g mod 2 = 0 then 4 else 8)
+      width;
+    Alcotest.check entries_t
+      (Printf.sprintf "round %d: entries intact at generation %d" round g)
+      byte_sorted
+      (List.of_seq (Sharded.scan t ~branch:"master"));
+    Sharded.close t
   done
 
 (* --- WAL bulk record ----------------------------------------------------------- *)
@@ -630,6 +630,11 @@ let test_server_scan_mbt_refused () =
           Client.close c)
 
 let () =
+  Kill_child.dispatch (function
+    | [ "reshard"; backend; dir; acked_path ] ->
+        let backend = if backend = "pack" then `Pack else `Snapshot in
+        reshard_forever ~backend ~dir ~acked_path
+    | _ -> exit 2);
   let qcheck = QCheck_alcotest.to_alcotest in
   Alcotest.run "scan"
     [ ( "streaming",
