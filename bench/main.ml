@@ -40,6 +40,7 @@ let experiments =
     ("server", "extension: multi-client server, group vs single commit", Fig_server.run);
     ("shard", "extension: sharded keyspace, concurrent commit + composite root", Fig_shard.run);
     ("scan", "extension: routed range scans + online reshard", Fig_scan.run);
+    ("crypto", "extension: SHA-256 kernel, selected vs portable C", Fig_crypto.run);
     ("batch", "ablation: write batch size vs throughput", Fig_throughput.batch_throughput);
     ("micro", "Bechamel per-op microbenchmarks", Micro.run);
     ("params", "print the Table 1/2 notation and parameter values", fun () ->

@@ -201,6 +201,7 @@ let stats_workload ?pool ?cache_bytes ~records ~ops ~json () =
         (inst.Generic.name, inst, sink))
       sample_kinds
   in
+  Printf.printf "sha-256 kernel: %s\n" Siri_crypto.Sha256.implementation;
   Table.print
     ~title:
       (Printf.sprintf
@@ -293,6 +294,7 @@ let stats_cmd =
     let views = sharded_views kind spec entries in
     Printf.printf "index      : %s\n" views.(0).Generic.name;
     Printf.printf "partition  : %s\n" (Partition.to_string spec);
+    Printf.printf "sha-256    : %s\n" Siri_crypto.Sha256.implementation;
     Printf.printf "records    : %d\n" (List.length entries);
     Array.iteri
       (fun i v ->
@@ -311,6 +313,7 @@ let stats_cmd =
     let pages = Generic.page_set inst in
     Printf.printf "index      : %s\n" inst.Generic.name;
     Printf.printf "domains    : %d\n" (Pool.domains pool);
+    Printf.printf "sha-256    : %s\n" Siri_crypto.Sha256.implementation;
     Printf.printf "records    : %d\n" (inst.Generic.cardinal ());
     Printf.printf "root       : %s\n" (Hash.to_hex inst.Generic.root);
     Printf.printf "nodes      : %d\n" (Hash.Set.cardinal pages);

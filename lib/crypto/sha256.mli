@@ -1,42 +1,33 @@
-(** Pure-OCaml SHA-256 (FIPS 180-4).
+(** SHA-256 (FIPS 180-4), one-shot digests computed in C.
 
-    Implemented from scratch because no cryptographic package is available in
-    the build environment.  Verified against the NIST short-message test
-    vectors in the test suite. *)
+    The compression function is a C stub linked through dune
+    [foreign_stubs] with the OCaml toolchain's own C compiler.  It has two
+    kernels: the x86 SHA extensions (SHA-NI), compiled per function with a
+    target attribute, and portable C for hosts whose cpuid lacks SHA,
+    SSE4.1 or SSSE3 and for non-x86 hosts.  The kernel is chosen once, by
+    cpuid, when this module is initialized; no setting overrides it.
 
-type ctx
-(** Streaming hash context (mutable). *)
+    Each digest is a single call that keeps its whole state on the C
+    stack, so digests from any number of domains and systhreads run
+    concurrently without sharing anything.  Every offset and length is
+    checked before the C code sees it.  Verified against the NIST
+    short-message vectors and the million-['a'] vector in the test suite,
+    on both kernels. *)
 
-val init : unit -> ctx
-(** Fresh context. *)
-
-val feed_bytes : ctx -> ?off:int -> ?len:int -> bytes -> unit
-(** Absorb [len] bytes of [b] starting at [off] (defaults: whole buffer). *)
-
-val feed_string : ctx -> ?off:int -> ?len:int -> string -> unit
-(** Same as {!feed_bytes} for strings. *)
-
-val finalize : ctx -> string
-(** Pad, finish and return the 32-byte digest.  The context must be
-    {!reset} before any further use. *)
-
-val reset : ctx -> unit
-(** Return the context to its initial state, reusing its internal block,
-    schedule and pad buffers — the allocation-free way to start a new
-    digest. *)
+val implementation : string
+(** The kernel selected on this host: ["sha-ni"] or ["portable"]. *)
 
 val digest_string : string -> string
-(** One-shot digest of a string: [digest_string s] is the 32-byte SHA-256
-    of [s].  One-shot digests run on a per-domain scratch context, so
-    they allocate only the result and are safe to call concurrently from
-    different domains. *)
+(** [digest_string s] is the 32-byte SHA-256 of [s]. *)
 
 val digest_bytes : bytes -> string
-(** One-shot digest of a byte buffer. *)
+(** One-shot digest of a byte buffer, hashed in place without a copy. *)
 
 val digest_substring : string -> off:int -> len:int -> string
 (** [digest_substring s ~off ~len] is
-    [digest_string (String.sub s off len)] without the copy. *)
+    [digest_string (String.sub s off len)] without the copy.
+    @raise Invalid_argument if [off] and [len] do not name a valid
+    substring of [s]. *)
 
 val digest_concat : string -> string -> string
 (** [digest_concat a b] is [digest_string (a ^ b)] without materializing
@@ -45,7 +36,20 @@ val digest_concat : string -> string -> string
 val digest_concat_sub : string -> string -> off:int -> len:int -> string
 (** [digest_concat_sub a b ~off ~len] is
     [digest_concat a (String.sub b off len)] without the copy — the WAL
-    frame checksum hashed in place. *)
+    frame checksum hashed in place.
+    @raise Invalid_argument if [off] and [len] do not name a valid
+    substring of [b]. *)
+
+(** The portable C kernel called directly, whatever the host supports —
+    for cross-checking the selected kernel in tests and benchmarks.
+    Same contracts as the functions above. *)
+module Portable : sig
+  val digest_string : string -> string
+  val digest_bytes : bytes -> string
+  val digest_substring : string -> off:int -> len:int -> string
+  val digest_concat : string -> string -> string
+  val digest_concat_sub : string -> string -> off:int -> len:int -> string
+end
 
 val to_hex : string -> string
 (** Lowercase hex rendering of a raw digest (or any string). *)
