@@ -61,7 +61,7 @@ QCHECK_SEED ?= 20260806
 
 SIDECARS = BENCH_proof.json BENCH_pack.json BENCH_parallel.json \
            BENCH_readpath.json BENCH_server.json BENCH_shard.json \
-           BENCH_scan.json BENCH_crypto.json
+           BENCH_scan.json BENCH_crypto.json BENCH_chunk.json
 
 .PHONY: all build test quick smoke crash par read pack proof serve shard scan bench-sidecars check bench clean
 

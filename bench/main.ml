@@ -41,6 +41,7 @@ let experiments =
     ("shard", "extension: sharded keyspace, concurrent commit + composite root", Fig_shard.run);
     ("scan", "extension: routed range scans + online reshard", Fig_scan.run);
     ("crypto", "extension: SHA-256 kernel, selected vs portable C", Fig_crypto.run);
+    ("chunk", "extension: rolling-hash chunker and the POS-Tree 200-put commit", Fig_chunk.run);
     ("batch", "ablation: write batch size vs throughput", Fig_throughput.batch_throughput);
     ("micro", "Bechamel per-op microbenchmarks", Micro.run);
     ("params", "print the Table 1/2 notation and parameter values", fun () ->

@@ -24,6 +24,10 @@ let table =
   in
   Array.init 256 (fun _ -> next ())
 
+let expire_table ~window =
+  if window <= 0 then invalid_arg "Buzhash.expire_table: window must be positive";
+  Array.map (fun x -> rotl x window) table
+
 type t = {
   win : Bytes.t;          (* circular buffer of the last [window] bytes *)
   mutable pos : int;      (* next slot to overwrite *)

@@ -23,44 +23,84 @@ let config_for_leaf_size target =
 
 type t = {
   c : config;
-  bh : Buzhash.t;
   mask : int;
+  expire : int array;     (* Buzhash.expire_table for the window *)
   mutable bytes : int;    (* bytes since last boundary *)
-  mutable matched : bool; (* pattern seen within the current item run *)
+  mutable fed : int;      (* bytes since [create] *)
 }
 
 let create c =
   { c;
-    bh = Buzhash.create ~window:c.window;
     mask = (1 lsl c.pattern_bits) - 1;
+    expire = Buzhash.expire_table ~window:c.window;
     bytes = 0;
-    matched = false }
+    fed = 0 }
 
 let conf t = t.c
+let reset t = t.bytes <- 0
 
-let reset t =
-  Buzhash.reset t.bh;
-  t.bytes <- 0;
-  t.matched <- false
-
-let feed t item =
-  (* The window rolls within one item only: whether an item carries a
-     boundary is then a property of the item's own bytes, so re-chunking
-     after an edit realigns with the old boundaries at the very next
-     pattern-carrying item (fast resynchronisation). *)
-  Buzhash.reset t.bh;
-  let n = String.length item in
-  for i = 0 to n - 1 do
-    let h = Buzhash.roll t.bh item.[i] in
-    t.bytes <- t.bytes + 1;
-    if (not t.matched) && t.bytes >= t.c.min_size && h land t.mask = t.mask
-    then t.matched <- true
+(* The Buzhash recurrence of [Buzhash.roll], inlined.  The window rolls
+   within one item only: whether an item carries a boundary is then a
+   property of the item's own bytes, so re-chunking after an edit realigns
+   with the old boundaries at the very next pattern-carrying item (fast
+   resynchronisation).  Because the window starts empty at the item's
+   first byte, the byte leaving it is simply [buf.[j - window]]: no
+   circular buffer, and a first loop while the window fills expires
+   nothing.  Once the pattern has matched the boundary is decided, so
+   rolling stops (by jumping [i] to the end); the size still counts the
+   whole item. *)
+let feed_range t buf ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length buf - len then
+    invalid_arg "Chunker.feed_range";
+  let table = Buzhash.table and expire = t.expire and mask = t.mask in
+  let hmask = Buzhash.mask and top = Buzhash.width - 1 in
+  let w = t.c.window in
+  let stop = off + len in
+  let full = if len < w then stop else off + w in
+  (* The pattern counts only once the chunk holds [min_size] bytes, i.e.
+     from byte [first] on. *)
+  let first = off + t.c.min_size - t.bytes - 1 in
+  let h = ref 0 and i = ref off and matched = ref false in
+  while !i < full do
+    let j = !i in
+    let x = !h in
+    let x =
+      ((x lsl 1) lor (x lsr top)) land hmask
+      lxor Array.unsafe_get table (Char.code (Bytes.unsafe_get buf j))
+    in
+    h := x;
+    if x land mask = mask && j >= first then begin
+      matched := true;
+      i := stop
+    end
+    else i := j + 1
   done;
-  let boundary = t.matched || t.bytes >= t.c.max_size in
-  if boundary then reset t;
+  while !i < stop do
+    let j = !i in
+    let x = !h in
+    let x =
+      ((x lsl 1) lor (x lsr top)) land hmask
+      lxor Array.unsafe_get table (Char.code (Bytes.unsafe_get buf j))
+      lxor Array.unsafe_get expire (Char.code (Bytes.unsafe_get buf (j - w)))
+    in
+    h := x;
+    if x land mask = mask && j >= first then begin
+      matched := true;
+      i := stop
+    end
+    else i := j + 1
+  done;
+  t.bytes <- t.bytes + len;
+  t.fed <- t.fed + len;
+  let boundary = !matched || t.bytes >= t.c.max_size in
+  if boundary then t.bytes <- 0;
   boundary
 
+let feed t item =
+  feed_range t (Bytes.unsafe_of_string item) ~off:0 ~len:(String.length item)
+
 let size t = t.bytes
+let fed t = t.fed
 
 let hash_boundary c h =
   (* Fold the first 8 digest bytes into an int and test the pattern; the

@@ -6,7 +6,8 @@
     node boundary falls at its end.
 
     Boundary rule at the leaf level: a Buzhash rolling hash is computed over
-    the serialized bytes of each item (the window rolls within one item); if
+    the serialized bytes of each item (the window starts empty at each
+    item's first byte and rolls within that item); if
     at any byte — once the chunk holds at least [min_size] bytes — the low
     [pattern_bits] bits of the hash are all ones, the chunk ends at the end
     of the current item.  A chunk is also force-cut at [max_size] bytes.
@@ -45,12 +46,26 @@ val conf : t -> config
 val reset : t -> unit
 (** Forget all rolling state (start of a fresh level / segment). *)
 
+val feed_range : t -> Bytes.t -> off:int -> len:int -> bool
+(** [feed_range t buf ~off ~len] absorbs one item whose serialized bytes
+    are [buf\[off, off + len)] — read in place, so a caller that encodes
+    the item into its node's body rolls over exactly the bytes it wrote.
+    [true] means a node boundary falls after this item (state has been
+    reset).  One loop over the range, checked once: the window starts empty
+    at the item's first byte, rolling stops at the first pattern match, and
+    {!size} still counts all [len] bytes.  Boundaries equal those of the
+    one-byte-at-a-time {!Buzhash.roll} reference.  Raises
+    [Invalid_argument] if the range is not within [buf]. *)
+
 val feed : t -> string -> bool
-(** [feed t item] absorbs one item's bytes; [true] means a node boundary
-    falls after this item (state has been reset). *)
+(** {!feed_range} over a whole string. *)
 
 val size : t -> int
-(** Bytes absorbed since the last boundary. *)
+(** Bytes absorbed since the last boundary (0 right after one). *)
+
+val fed : t -> int
+(** Bytes absorbed since {!create}, across boundaries and {!reset}s — the
+    rolling work done (telemetry [chunk.bytes]). *)
 
 val hash_boundary : config -> Siri_crypto.Hash.t -> bool
 (** Internal-level rule: boundary iff the low [pattern_bits] bits of the

@@ -1,43 +1,70 @@
 module Hash = Siri_crypto.Hash
 
 module Writer = struct
-  type t = Buffer.t
+  (* A growable byte array.  Unlike [Buffer.t] it lets callers read the
+     bytes already written in place ([unsafe_bytes]), which the POS-Tree
+     chunker needs: each record is encoded once into its node's body and
+     rolled over right where it lies. *)
+  type t = { mutable buf : Bytes.t; mutable len : int }
 
-  let create ?(capacity = 256) () = Buffer.create capacity
-  let length = Buffer.length
+  let create ?(capacity = 256) () =
+    { buf = Bytes.create (max 16 capacity); len = 0 }
+
+  let length t = t.len
+  let clear t = t.len <- 0
+  let unsafe_bytes t = t.buf
+
+  let grow t n =
+    let need = t.len + n in
+    let cap = ref (Bytes.length t.buf) in
+    while !cap < need do
+      cap := 2 * !cap
+    done;
+    let buf = Bytes.create !cap in
+    Bytes.blit t.buf 0 buf 0 t.len;
+    t.buf <- buf
+
+  let add_byte t v =
+    if t.len >= Bytes.length t.buf then grow t 1;
+    Bytes.unsafe_set t.buf t.len (Char.unsafe_chr v);
+    t.len <- t.len + 1
 
   let u8 t v =
     if v < 0 || v > 0xFF then invalid_arg "Wire.Writer.u8";
-    Buffer.add_char t (Char.chr v)
+    add_byte t v
 
   let u16 t v =
     if v < 0 || v > 0xFFFF then invalid_arg "Wire.Writer.u16";
-    Buffer.add_char t (Char.chr (v lsr 8));
-    Buffer.add_char t (Char.chr (v land 0xFF))
+    add_byte t (v lsr 8);
+    add_byte t (v land 0xFF)
 
   let u32 t v =
     if v < 0 || v > 0xFFFFFFFF then invalid_arg "Wire.Writer.u32";
-    Buffer.add_char t (Char.chr ((v lsr 24) land 0xFF));
-    Buffer.add_char t (Char.chr ((v lsr 16) land 0xFF));
-    Buffer.add_char t (Char.chr ((v lsr 8) land 0xFF));
-    Buffer.add_char t (Char.chr (v land 0xFF))
+    add_byte t ((v lsr 24) land 0xFF);
+    add_byte t ((v lsr 16) land 0xFF);
+    add_byte t ((v lsr 8) land 0xFF);
+    add_byte t (v land 0xFF)
 
   let rec varint t v =
     if v < 0 then invalid_arg "Wire.Writer.varint: negative";
-    if v < 0x80 then Buffer.add_char t (Char.chr v)
+    if v < 0x80 then add_byte t v
     else begin
-      Buffer.add_char t (Char.chr (0x80 lor (v land 0x7F)));
+      add_byte t (0x80 lor (v land 0x7F));
       varint t (v lsr 7)
     end
 
-  let raw t s = Buffer.add_string t s
+  let raw t s =
+    let n = String.length s in
+    if t.len + n > Bytes.length t.buf then grow t n;
+    Bytes.blit_string s 0 t.buf t.len n;
+    t.len <- t.len + n
 
   let str t s =
     varint t (String.length s);
     raw t s
 
   let hash t h = raw t (Hash.to_raw h)
-  let contents = Buffer.contents
+  let contents t = Bytes.sub_string t.buf 0 t.len
 end
 
 module Reader = struct

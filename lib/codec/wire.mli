@@ -32,6 +32,14 @@ module Writer : sig
   (** Append the raw 32 bytes of a digest. *)
 
   val contents : t -> string
+
+  val clear : t -> unit
+  (** Forget the contents, keeping the storage for reuse. *)
+
+  val unsafe_bytes : t -> Bytes.t
+  (** The backing store, read in place: bytes [\[0, length t)] are the
+      contents.  Valid only until the next write, which may reallocate;
+      callers must not mutate it. *)
 end
 
 module Reader : sig

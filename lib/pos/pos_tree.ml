@@ -78,30 +78,30 @@ type node =
 
 type Siri_readpath.Node_cache.repr += Cached of node
 
-let encode_leaf salt entries =
-  let w = Wire.Writer.create ~capacity:1024 () in
-  Wire.Writer.u8 w tag_leaf;
-  Wire.Writer.str w salt;
-  Wire.Writer.varint w (Array.length entries);
-  Array.iter
-    (fun (k, v) ->
-      Wire.Writer.str w k;
-      Wire.Writer.str w v)
-    entries;
-  Wire.Writer.contents w
+(* A node is a header, [u8 tag; str salt; u8 level (internal only);
+   varint count], then its items' encodings: [str k; str v] per record,
+   [str k; hash] per ref.  Builds write each item once, into a body buffer
+   that the rolling chunker reads in place; [node_bytes] then puts the
+   header in front of the node's slice of that body. *)
+let write_entry w k v =
+  Wire.Writer.str w k;
+  Wire.Writer.str w v
 
-let encode_internal salt level refs =
-  let w = Wire.Writer.create ~capacity:1024 () in
-  Wire.Writer.u8 w tag_internal;
-  Wire.Writer.str w salt;
-  Wire.Writer.u8 w level;
-  Wire.Writer.varint w (Array.length refs);
-  Array.iter
-    (fun (k, h) ->
-      Wire.Writer.str w k;
-      Wire.Writer.hash w h)
-    refs;
-  Wire.Writer.contents w
+let write_ref w k h =
+  Wire.Writer.str w k;
+  Wire.Writer.hash w h
+
+let node_bytes salt lvl ~count body ~off ~len =
+  let hdr = Wire.Writer.create ~capacity:(String.length salt + 16) () in
+  Wire.Writer.u8 hdr (if lvl = 0 then tag_leaf else tag_internal);
+  Wire.Writer.str hdr salt;
+  if lvl > 0 then Wire.Writer.u8 hdr lvl;
+  Wire.Writer.varint hdr count;
+  let hl = Wire.Writer.length hdr in
+  let node = Bytes.create (hl + len) in
+  Bytes.blit (Wire.Writer.unsafe_bytes hdr) 0 node 0 hl;
+  Bytes.blit body off node hl len;
+  Bytes.unsafe_to_string node
 
 let decode bytes =
   let r = Wire.Reader.of_string bytes in
@@ -141,32 +141,56 @@ let get store h =
           (Cached node);
         node
 
-(* Serialized form of a record as fed to the rolling hash. *)
-let ser_entry k v =
-  let w = Wire.Writer.create ~capacity:(String.length k + String.length v + 8) () in
-  Wire.Writer.str w k;
-  Wire.Writer.str w v;
-  Wire.Writer.contents w
-
-let ser_ref k h =
-  let w = Wire.Writer.create ~capacity:(String.length k + 40) () in
-  Wire.Writer.str w k;
-  Wire.Writer.hash w h;
-  Wire.Writer.contents w
-
 (* --- streaming rebuilder -------------------------------------------------- *)
 
 (* Stream 0 carries records; stream l>=1 carries refs to height-(l-1) nodes.
-   Chunk boundaries are decided as items arrive; a finished chunk becomes a
-   node whose ref is pushed onto the stream above.  Reusing a clean subtree
-   of height l is legal exactly when streams 0..l are at a boundary (all
-   pendings empty, rolling states reset). *)
+   Each item is encoded straight into its stream's pending node body, and
+   the chunk boundary is decided as it arrives — the rolling rule reads the
+   bytes just written.  A finished chunk becomes a node whose ref is pushed
+   onto the stream above.  Reusing a clean subtree of height l is legal
+   exactly when streams 0..l are at a boundary (all pendings empty, rolling
+   states reset). *)
 
-type item = Ent of Kv.key * Kv.value | Ref of Kv.key * Hash.t
+type rule =
+  | Rolling of Chunker.t  (* records, or refs under [By_rolling] *)
+  | Child_hash of { hcfg : Chunker.config; min_items : int; max_items : int }
+
+let level_rule cfg lvl =
+  if lvl = 0 then Rolling (Chunker.create cfg.leaf)
+  else
+    match cfg.internal with
+    | By_rolling c -> Rolling (Chunker.create c)
+    | By_child_hash { bits; min_items; max_items } ->
+        Child_hash { hcfg = Chunker.config ~pattern_bits:bits (); min_items; max_items }
+
+(* Whether a node ends after the item just encoded at [off, off + len) of
+   [body], [count] items now pending; [child] is the item's child hash
+   (refs only).  Shared by the streaming rebuilder and the bulk cut scan. *)
+let fires rule lvl ~count body ~off ~len child =
+  match rule with
+  | Rolling c ->
+      (* Never cut a single-ref chunk: a chain of one-child internal nodes
+         would grow the tree height unboundedly. *)
+      Chunker.feed_range c body ~off ~len && (lvl = 0 || count >= 2)
+  | Child_hash { hcfg; min_items; max_items } ->
+      count >= max_items || (count >= min_items && Chunker.hash_boundary hcfg child)
+
+(* Telemetry [chunk.bytes]: the bytes a build handed to its rolling
+   chunkers. *)
+let note_rolled store rules =
+  let sink = Store.sink store in
+  if Telemetry.enabled sink then
+    Telemetry.incr sink "chunk.bytes"
+      ~by:
+        (List.fold_left
+           (fun acc -> function Rolling c -> acc + Chunker.fed c | Child_hash _ -> acc)
+           0 rules)
 
 type stream = {
-  chunker : Chunker.t option;  (* stream 0, or internal By_rolling *)
-  mutable pending : item list;  (* reversed *)
+  rule : rule;
+  body : Wire.Writer.t;  (* the pending node's encoded items *)
+  mutable children : Hash.t list;  (* the pending node's refs, reversed *)
+  mutable last_key : Kv.key;
   mutable pending_count : int;
   mutable total : int;
 }
@@ -179,14 +203,12 @@ type rebuilder = {
 }
 
 let new_stream cfg lvl =
-  let chunker =
-    if lvl = 0 then Some (Chunker.create cfg.leaf)
-    else
-      match cfg.internal with
-      | By_rolling c -> Some (Chunker.create c)
-      | By_child_hash _ -> None
-  in
-  { chunker; pending = []; pending_count = 0; total = 0 }
+  { rule = level_rule cfg lvl;
+    body = Wire.Writer.create ~capacity:2048 ();
+    children = [];
+    last_key = "";
+    pending_count = 0;
+    total = 0 }
 
 let rebuilder store cfg salt =
   { rstore = store; rcfg = cfg; rsalt = salt; streams = [||] }
@@ -202,70 +224,43 @@ let stream r lvl =
   end;
   r.streams.(lvl)
 
-let item_key = function Ent (k, _) -> k | Ref (k, _) -> k
-
-let make_node r lvl items =
-  (* [items] in order; returns the ref of the created node. *)
-  let last_key = item_key (List.nth items (List.length items - 1)) in
-  let h =
-    if lvl = 0 then
-      let entries =
-        Array.of_list
-          (List.map (function Ent (k, v) -> (k, v) | Ref _ -> assert false) items)
-      in
-      Store.put r.rstore (encode_leaf r.rsalt entries)
-    else
-      let refs =
-        Array.of_list
-          (List.map (function Ref (k, h) -> (k, h) | Ent _ -> assert false) items)
-      in
-      Store.put r.rstore
-        ~children:(List.map (fun (_, h) -> h) (Array.to_list refs))
-        (encode_internal r.rsalt lvl refs)
-  in
-  (last_key, h)
-
-let rec add_item r lvl item =
-  let s = stream r lvl in
-  s.pending <- item :: s.pending;
+(* The item just encoded at [off] of [s.body] joins the pending node. *)
+let rec push r lvl s ~off key child =
+  s.last_key <- key;
   s.pending_count <- s.pending_count + 1;
   s.total <- s.total + 1;
-  let boundary =
-    match (lvl, r.rcfg.internal, item) with
-    | 0, _, Ent (k, v) -> (
-        match s.chunker with
-        | Some c -> Chunker.feed c (ser_entry k v)
-        | None -> assert false)
-    | _, By_rolling _, Ref (k, h) -> (
-        match s.chunker with
-        | Some c ->
-            (* Never cut a single-ref chunk: a chain of one-child internal
-               nodes would grow the tree height unboundedly. *)
-            let fired = Chunker.feed c (ser_ref k h) in
-            fired && s.pending_count >= 2
-        | None -> assert false)
-    | _, By_child_hash { bits; min_items; max_items }, Ref (_, h) ->
-        if s.pending_count >= max_items then true
-        else
-          s.pending_count >= min_items
-          && Chunker.hash_boundary
-               (Chunker.config ~pattern_bits:bits ()) h
-    | _ -> assert false
-  in
-  if boundary then flush_stream r lvl
+  let len = Wire.Writer.length s.body - off in
+  if fires s.rule lvl ~count:s.pending_count (Wire.Writer.unsafe_bytes s.body) ~off
+       ~len child
+  then flush_stream r lvl
 
 and flush_stream r lvl =
   let s = stream r lvl in
   if s.pending_count > 0 then begin
-    let items = List.rev s.pending in
-    s.pending <- [];
+    let bytes =
+      node_bytes r.rsalt lvl ~count:s.pending_count (Wire.Writer.unsafe_bytes s.body)
+        ~off:0 ~len:(Wire.Writer.length s.body)
+    in
+    let h = Store.put r.rstore ~children:(List.rev s.children) bytes in
+    Wire.Writer.clear s.body;
+    s.children <- [];
     s.pending_count <- 0;
-    (match s.chunker with Some c -> Chunker.reset c | None -> ());
-    let k, h = make_node r lvl items in
-    add_item r (lvl + 1) (Ref (k, h))
+    (match s.rule with Rolling c -> Chunker.reset c | Child_hash _ -> ());
+    add_ref r (lvl + 1) s.last_key h
   end
 
-let add_entry r k v = add_item r 0 (Ent (k, v))
+and add_ref r lvl k h =
+  let s = stream r lvl in
+  let off = Wire.Writer.length s.body in
+  write_ref s.body k h;
+  s.children <- h :: s.children;
+  push r lvl s ~off k h
+
+let add_entry r k v =
+  let s = stream r 0 in
+  let off = Wire.Writer.length s.body in
+  write_entry s.body k v;
+  push r 0 s ~off k Hash.null
 
 (* A clean subtree of height [h] can be reused iff all streams up to and
    including [h] are at a boundary. *)
@@ -289,9 +284,7 @@ let finish r =
     let s = stream r lvl in
     if lvl >= 1 && s.total = 1 && s.pending_count = 1 && not (above_active lvl)
     then
-      match s.pending with
-      | [ Ref (_, h) ] -> h
-      | _ -> assert false
+      List.hd s.children
     else begin
       flush_stream r lvl;
       if s.total = 0 && not (above_active lvl) then Hash.null else loop (lvl + 1)
@@ -332,9 +325,9 @@ let rec emit r h height ops ~reuse =
     match get r.rstore h with
     | Leaf entries when Array.length entries = 0 -> ()
     | Leaf entries ->
-        add_item r (height + 1) (Ref (fst entries.(Array.length entries - 1), h))
+        add_ref r (height + 1) (fst entries.(Array.length entries - 1)) h
     | Internal (_, refs) ->
-        add_item r (height + 1) (Ref (fst refs.(Array.length refs - 1), h))
+        add_ref r (height + 1) (fst refs.(Array.length refs - 1)) h
   end
   else
     match get r.rstore h with
@@ -349,7 +342,7 @@ let rec emit r h height ops ~reuse =
         Array.iteri
           (fun i (key, child) ->
             if buckets.(i) = [] && reuse && can_reuse r (lvl - 1) then
-              add_item r lvl (Ref (key, child))
+              add_ref r lvl key child
             else emit r child (lvl - 1) buckets.(i) ~reuse)
           refs
 
@@ -358,7 +351,9 @@ let rebuild t ops salt ~reuse =
   (if Hash.is_null t.root then
      List.iter (fun (k, v) -> add_entry r k v) (Kv.apply_sorted [] ops)
    else emit r t.root max_int ops ~reuse);
-  { t with root = finish r; salt }
+  let root = finish r in
+  note_rolled t.store (List.map (fun s -> s.rule) (Array.to_list r.streams));
+  { t with root; salt }
 
 let batch t ops =
   let ops = Kv.sort_ops ops in
@@ -379,62 +374,14 @@ let of_entries store cfg entries =
 
 (* Chunk boundaries depend only on the item sequence (the tree is
    history-independent for a full build), so a bulk load can be split into
-   two passes per level: a sequential scan that replays the streaming
-   boundary rules to find the cut points, then a parallel pass encoding
-   and hashing each chunk on the pool.  The scan is a rolling hash over
-   the serialized items — an order of magnitude cheaper than the SHA-256
-   work it unlocks. *)
+   two passes per level: a sequential scan that encodes the level's items
+   once and replays the streaming boundary rules ([fires]) over them to
+   find the cut points, then a parallel pass putting each chunk's header in
+   front of its slice of the encoded level and hashing it on the pool.  The
+   scan is a rolling hash over the encoded items — an order of magnitude
+   cheaper than the SHA-256 work it unlocks. *)
 
 module Pool = Siri_parallel.Pool
-
-(* Cut points for the record stream (level 0): a chunk ends exactly where
-   [add_item 0] would fire.  [Chunker.feed] resets its own state when it
-   fires, matching the streaming rebuilder. *)
-let leaf_segments cfg entries =
-  let n = Array.length entries in
-  let ch = Chunker.create cfg.leaf in
-  let segs = ref [] and lo = ref 0 in
-  Array.iteri
-    (fun i (k, v) ->
-      if Chunker.feed ch (ser_entry k v) then begin
-        segs := (!lo, i + 1) :: !segs;
-        lo := i + 1
-      end)
-    entries;
-  if !lo < n then segs := (!lo, n) :: !segs;
-  Array.of_list (List.rev !segs)
-
-(* Cut points for a ref stream (level >= 1), mirroring [add_item]'s
-   internal-rule cases including the never-cut-a-single-ref guard. *)
-let ref_segments cfg refs =
-  let n = Array.length refs in
-  let segs = ref [] and lo = ref 0 in
-  (match cfg.internal with
-  | By_rolling c ->
-      let ch = Chunker.create c in
-      Array.iteri
-        (fun i (k, h) ->
-          let fired = Chunker.feed ch (ser_ref k h) in
-          if fired && i + 1 - !lo >= 2 then begin
-            segs := (!lo, i + 1) :: !segs;
-            lo := i + 1
-          end)
-        refs
-  | By_child_hash { bits; min_items; max_items } ->
-      let c = Chunker.config ~pattern_bits:bits () in
-      Array.iteri
-        (fun i (_, h) ->
-          let pending = i + 1 - !lo in
-          if
-            pending >= max_items
-            || (pending >= min_items && Chunker.hash_boundary c h)
-          then begin
-            segs := (!lo, i + 1) :: !segs;
-            lo := i + 1
-          end)
-        refs);
-  if !lo < n then segs := (!lo, n) :: !segs;
-  Array.of_list (List.rev !segs)
 
 let of_sorted ?pool store cfg entries =
   let entries =
@@ -447,14 +394,49 @@ let of_sorted ?pool store cfg entries =
       let pool = match pool with Some p -> p | None -> Pool.sequential in
       let salt = if cfg.non_recursively_identical then next_salt () else "" in
       let sink = Store.sink store in
-      (* Stage one level on the pool: quiet hashing in the workers, then
-         observer replay + batched install in segment order on the
-         coordinator — the same digest/put sequence as the streaming
-         rebuilder emits for these nodes. *)
-      let par_stage segs stage_of =
+      let rules = ref [] in
+      (* One level: encode [items] once (item i at [ends.(i), ends.(i+1))
+         of the body), cut, then stage the nodes on the pool — quiet
+         hashing in the workers, then observer replay + batched install in
+         segment order on the coordinator: the same digest/put sequence as
+         the streaming rebuilder emits for these nodes.  [child i] is item
+         i's child hash (refs only). *)
+      let stage_level lvl items write child =
+        let n = Array.length items in
+        let body = Wire.Writer.create ~capacity:(64 * n) () in
+        let ends = Array.make (n + 1) 0 in
+        Array.iteri
+          (fun i (k, x) ->
+            write body k x;
+            ends.(i + 1) <- Wire.Writer.length body)
+          items;
+        let buf = Wire.Writer.unsafe_bytes body in
+        let rule = level_rule cfg lvl in
+        rules := rule :: !rules;
+        let segs = ref [] and lo = ref 0 in
+        for i = 0 to n - 1 do
+          if
+            fires rule lvl ~count:(i + 1 - !lo) buf ~off:ends.(i)
+              ~len:(ends.(i + 1) - ends.(i)) (child i)
+          then begin
+            segs := (!lo, i + 1) :: !segs;
+            lo := i + 1
+          end
+        done;
+        if !lo < n then segs := (!lo, n) :: !segs;
+        let segs = Array.of_list (List.rev !segs) in
         let staged =
           Telemetry.with_span sink "commit.parallel" (fun () ->
-              Pool.map pool stage_of segs)
+              Pool.map pool
+                (fun (lo, hi) ->
+                  let children =
+                    if lvl = 0 then [] else List.init (hi - lo) (fun j -> child (lo + j))
+                  in
+                  ( fst items.(hi - 1),
+                    Store.stage_quiet ~children
+                      (node_bytes salt lvl ~count:(hi - lo) buf ~off:ends.(lo)
+                         ~len:(ends.(hi) - ends.(lo))) ))
+                segs)
         in
         let as_list = Array.to_list (Array.map snd staged) in
         Store.note_staged as_list;
@@ -466,26 +448,15 @@ let of_sorted ?pool store cfg entries =
         end;
         Array.map (fun (k, s) -> (k, s.Store.digest)) staged
       in
-      let arr = Array.of_list entries in
-      let leaves =
-        par_stage (leaf_segments cfg arr) (fun (lo, hi) ->
-            let slice = Array.sub arr lo (hi - lo) in
-            (fst slice.(hi - lo - 1), Store.stage_quiet (encode_leaf salt slice)))
-      in
       let rec build lvl refs =
         if Array.length refs = 1 then snd refs.(0)
-        else
-          let nodes =
-            par_stage (ref_segments cfg refs) (fun (lo, hi) ->
-                let slice = Array.sub refs lo (hi - lo) in
-                ( fst slice.(hi - lo - 1),
-                  Store.stage_quiet
-                    ~children:(Array.to_list (Array.map snd slice))
-                    (encode_internal salt lvl slice) ))
-          in
-          build (lvl + 1) nodes
+        else build (lvl + 1) (stage_level lvl refs write_ref (fun i -> snd refs.(i)))
       in
-      { store; cfg; root = build 1 leaves; salt }
+      let root =
+        build 1 (stage_level 0 (Array.of_list entries) write_entry (fun _ -> Hash.null))
+      in
+      note_rolled store !rules;
+      { store; cfg; root; salt }
 
 let insert_many ?pool t entries =
   if Hash.is_null t.root then of_sorted ?pool t.store t.cfg entries

@@ -104,10 +104,11 @@ val of_entries : Store.t -> config -> (Kv.key * Kv.value) list -> t
 (** Bottom-up bulk build. *)
 
 val of_sorted : ?pool:Siri_parallel.Pool.t -> Store.t -> config -> (Kv.key * Kv.value) list -> t
-(** Bulk build in two passes per level: a sequential rolling-hash scan
-    replays the streaming boundary rules to find every chunk cut, then the
-    chunks are encoded and SHA-256'd in parallel on [pool] (default:
-    sequential).  Boundaries depend only on the item sequence, so the root
+(** Bulk build in two passes per level: a sequential scan encodes the
+    level's items once and replays the streaming boundary rules over them
+    to find every chunk cut, then each chunk's header is put in front of
+    its slice of the encoded level and SHA-256'd in parallel on [pool]
+    (default: sequential).  Boundaries depend only on the item sequence, so the root
     is byte-identical to {!of_entries} and to itself at any domain count.
     Duplicate keys: last wins. *)
 

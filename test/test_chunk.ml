@@ -152,6 +152,108 @@ let test_config_validation () =
     (Invalid_argument "Chunker.config: bad min/max sizes") (fun () ->
       ignore (Chunker.config ~pattern_bits:4 ~min_size:100 ~max_size:50 ()))
 
+(* --- the chunker loop against the byte-at-a-time reference ---------------- *)
+
+(* The boundary rule spelled out one byte at a time through [Buzhash.roll],
+   the window reset at each item: [bytes] counts the chunk so far. *)
+let reference_feed (cfg : Chunker.config) bh bytes item =
+  let mask = (1 lsl cfg.pattern_bits) - 1 in
+  Buzhash.reset bh;
+  let matched = ref false in
+  String.iter
+    (fun c ->
+      let h = Buzhash.roll bh c in
+      incr bytes;
+      if (not !matched) && !bytes >= cfg.min_size && h land mask = mask then
+        matched := true)
+    item;
+  let boundary = !matched || !bytes >= cfg.max_size in
+  if boundary then bytes := 0;
+  boundary
+
+(* A random min/max pair scaled to the window: none, a minimum only, a
+   maximum only (force cuts), or both. *)
+let random_sizes rng window =
+  match Rng.int rng 4 with
+  | 0 -> (0, None)
+  | 1 -> (Rng.int rng (4 * window), None)
+  | 2 -> (0, Some (1 + Rng.int rng (8 * window)))
+  | _ ->
+      let min_size = Rng.int rng (4 * window) in
+      (min_size, Some (min_size + 1 + Rng.int rng (8 * window)))
+
+let test_loop_matches_reference () =
+  let rng = Rng.create 20261018 in
+  for trial = 1 to 400 do
+    let window = 1 + Rng.int rng 100 and pattern_bits = 1 + Rng.int rng 12 in
+    let min_size, max_size = random_sizes rng window in
+    let cfg = Chunker.config ~window ~min_size ?max_size ~pattern_bits () in
+    let t = Chunker.create cfg and bh = Buzhash.create ~window in
+    let bytes = ref 0 and fed = ref 0 in
+    for item = 1 to 40 do
+      let len = Rng.int rng ((3 * window) + 1) in
+      let data = Rng.bytes_random rng len in
+      (* Embed the item at a random offset between random bytes: the loop
+         must read exactly its range. *)
+      let off = Rng.int rng 9 in
+      let buf =
+        Bytes.of_string (Rng.bytes_random rng off ^ data ^ Rng.bytes_random rng 8)
+      in
+      let expected = reference_feed cfg bh bytes data in
+      let label what =
+        Printf.sprintf "trial %d (window %d, bits %d, min %d) item %d: %s" trial
+          window pattern_bits min_size item what
+      in
+      fed := !fed + len;
+      Alcotest.(check bool) (label "boundary") expected
+        (Chunker.feed_range t buf ~off ~len);
+      Alcotest.(check int) (label "size") !bytes (Chunker.size t);
+      Alcotest.(check int) (label "fed") !fed (Chunker.fed t)
+    done
+  done
+
+let test_early_match_counts_item () =
+  (* Find an item whose pattern matches well before its end, behind a
+     prefix item that matches nowhere: the loop stops rolling at the match
+     but must still count the whole item, so the max-size rule and [fed]
+     see every byte. *)
+  let window = 8 and pattern_bits = 3 in
+  let cfg = Chunker.config ~window ~pattern_bits ~max_size:1_000_000 () in
+  let rng = Rng.create 77 in
+  let matches_at s =
+    let bh = Buzhash.create ~window and mask = (1 lsl pattern_bits) - 1 in
+    let rec go i =
+      if i = String.length s then None
+      else if Buzhash.roll bh s.[i] land mask = mask then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  let rec draw pred = let s = Rng.bytes_random rng 64 in if pred s then s else draw pred in
+  let quiet = draw (fun s -> matches_at s = None) in
+  let early = draw (fun s -> match matches_at s with Some i -> i < 16 | None -> false) in
+  let t = Chunker.create cfg in
+  Alcotest.(check bool) "quiet item: no boundary" false (Chunker.feed t quiet);
+  Alcotest.(check int) "quiet item counted" 64 (Chunker.size t);
+  Alcotest.(check bool) "early match: boundary" true (Chunker.feed t early);
+  Alcotest.(check int) "reset after the boundary" 0 (Chunker.size t);
+  Alcotest.(check int) "every byte of the matching item fed" 128 (Chunker.fed t);
+  Alcotest.(check bool) "then the quiet item again" false (Chunker.feed t quiet);
+  Alcotest.(check int) "its size alone" 64 (Chunker.size t)
+
+let test_feed_range_bounds () =
+  let t = Chunker.create (Chunker.config ~pattern_bits:4 ()) in
+  let buf = Bytes.make 10 'x' in
+  List.iter
+    (fun (off, len) ->
+      Alcotest.check_raises
+        (Printf.sprintf "off %d len %d" off len)
+        (Invalid_argument "Chunker.feed_range")
+        (fun () -> ignore (Chunker.feed_range t buf ~off ~len)))
+    [ (-1, 2); (0, -1); (5, 6); (11, 0) ];
+  Alcotest.(check bool) "empty range at the end" false
+    (Chunker.feed_range t buf ~off:10 ~len:0)
+
 let qcheck_split_preserves =
   QCheck.Test.make ~name:"split preserves item sequence" ~count:100
     QCheck.(list_of_size Gen.(0 -- 200) (string_of_size Gen.(1 -- 50)))
@@ -180,5 +282,10 @@ let () =
           Alcotest.test_case "resynchronisation" `Quick test_resynchronisation;
           Alcotest.test_case "hash boundary rate" `Quick test_hash_boundary_rate;
           Alcotest.test_case "config validation" `Quick test_config_validation;
+          Alcotest.test_case "loop matches byte-at-a-time reference" `Quick
+            test_loop_matches_reference;
+          Alcotest.test_case "early match counts the whole item" `Quick
+            test_early_match_counts_item;
+          Alcotest.test_case "feed_range bounds" `Quick test_feed_range_bounds;
           QCheck_alcotest.to_alcotest qcheck_split_preserves;
           QCheck_alcotest.to_alcotest qcheck_split_deterministic ] ) ]

@@ -74,6 +74,41 @@ let test_run_and_reuse () =
     Alcotest.(check int) "round result" (32 + round) out.(32)
   done
 
+(* Seeded stress at width 4 (the real width is [min 4 host], or 4 under
+   [make par]'s SIRI_DOMAINS=4): many rounds of [map] with task counts from
+   0 to 257, so every chunking of the input across the workers occurs,
+   and some rounds with raising tasks.  Ordered results must equal
+   [List.map], a raised failure must propagate (one of the raised ones,
+   whichever finished first), and the same pool must serve the next
+   round. *)
+exception Task_failed of int
+
+let test_map_stress () =
+  let rng = Rng.create 4242 in
+  for round = 1 to 300 do
+    let n = Rng.int rng 258 in
+    let input = Array.init n (fun i -> (round * 1000) + i) in
+    let f x = (x * 31) lxor round in
+    let raising =
+      if n > 0 && Rng.int rng 4 = 0 then
+        List.init (1 + Rng.int rng 3) (fun _ -> Rng.int rng n)
+      else []
+    in
+    let task i x = if List.mem i raising then raise (Task_failed i) else f x in
+    let label what = Printf.sprintf "round %d (n=%d): %s" round n what in
+    match Pool.map pool4 (fun i -> task i input.(i)) (Array.init n Fun.id) with
+    | out ->
+        Alcotest.(check bool) (label "no task raised") true (raising = []);
+        Alcotest.(check (list int)) (label "ordered results")
+          (List.map f (Array.to_list input))
+          (Array.to_list out)
+    | exception Task_failed i ->
+        Alcotest.(check bool) (label "a raising task's failure") true
+          (List.mem i raising)
+  done;
+  Alcotest.(check (array int)) "reusable after the storm" (Array.init 100 succ)
+    (Pool.map pool4 succ (Array.init 100 Fun.id))
+
 let test_recommended_env () =
   Alcotest.(check bool) "at least 1" true (Pool.recommended () >= 1);
   Alcotest.(check bool) "capped" true (Pool.recommended ~cap:2 () <= 2)
@@ -327,6 +362,7 @@ let () =
           Alcotest.test_case "exceptions propagate" `Quick
             test_exception_propagation;
           Alcotest.test_case "run + reuse" `Quick test_run_and_reuse;
+          Alcotest.test_case "seeded map stress" `Quick test_map_stress;
           Alcotest.test_case "recommended bounds" `Quick test_recommended_env
         ] );
       ( "crypto",

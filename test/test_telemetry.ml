@@ -16,6 +16,8 @@ module Mbt = Siri_mbt.Mbt
 module Pos = Siri_pos.Pos_tree
 module Mvbt = Siri_mvbt.Mvbt
 module Remote = Siri_forkbase.Remote
+module Wire = Siri_codec.Wire
+module Pool = Siri_parallel.Pool
 
 (* One maker per index, labelled with the Generic name the probes use. *)
 let makers =
@@ -175,6 +177,51 @@ let test_hash_metering () =
       Alcotest.(check bool) "hash.bytes >= store.put_bytes" true
         (c "hash.bytes" >= c "store.put_bytes"))
 
+(* [chunk.bytes] meters the bytes handed to the rolling chunkers.  Under
+   the child-hash internal rule only records roll, so one batch's count
+   must equal the record bytes (node minus header) of the leaves it put,
+   duplicates included — every record lands in exactly one put leaf. *)
+let leaf_record_bytes store puts =
+  List.fold_left
+    (fun acc h ->
+      let bytes = Store.get store h in
+      let r = Wire.Reader.of_string bytes in
+      if Wire.Reader.u8 r <> 0 then acc
+      else begin
+        ignore (Wire.Reader.str r : string);
+        ignore (Wire.Reader.varint r : int);
+        acc + Wire.Reader.remaining r
+      end)
+    0 puts
+
+let chunk_pool = Pool.create ~domains:2 ()
+
+let test_chunk_bytes () =
+  let store = Store.create () in
+  let cfg = Pos.config ~leaf_target:256 () in
+  let entries = List.init 2000 (fun i -> (Printf.sprintf "k%05d" i, value i)) in
+  let metered f =
+    let sink = Telemetry.create () and puts = ref [] in
+    Store.set_sink store sink;
+    Store.set_put_observer store (Some (fun h _ -> puts := h :: !puts));
+    let t = f () in
+    Store.set_put_observer store None;
+    Store.set_sink store Telemetry.null;
+    (t, Telemetry.counter sink "chunk.bytes", leaf_record_bytes store !puts)
+  in
+  let t, rolled, leaves =
+    metered (fun () -> Pos.of_sorted ~pool:chunk_pool store cfg entries)
+  in
+  Alcotest.(check int) "bulk load: chunk.bytes = leaf record bytes" leaves rolled;
+  let ops =
+    List.init 60 (fun i ->
+        if i mod 3 = 0 then Kv.Del (Printf.sprintf "k%05d" (i * 31))
+        else Kv.Put (Printf.sprintf "k%05d" (i * 29), String.make (i + 1) 'u'))
+  in
+  let _, rolled, leaves = metered (fun () -> Pos.batch t ops) in
+  Alcotest.(check bool) "the batch re-chunked something" true (rolled > 0);
+  Alcotest.(check int) "batch: chunk.bytes = leaf record bytes" leaves rolled
+
 (* Histogram accounting: exact count/sum/min/max, bucket counts summing to
    the total, quantiles clamped to the observed range. *)
 let test_histo_accounting () =
@@ -246,6 +293,7 @@ let () =
           Alcotest.test_case "raise" `Quick test_span_on_raise ] );
       ( "metering",
         [ Alcotest.test_case "hash counter" `Quick test_hash_metering;
+          Alcotest.test_case "chunk bytes" `Quick test_chunk_bytes;
           Alcotest.test_case "histogram accounting" `Quick test_histo_accounting;
           Alcotest.test_case "null sink" `Quick test_null_sink;
           Alcotest.test_case "json export" `Quick test_json_export ] ) ]
